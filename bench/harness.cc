@@ -144,6 +144,11 @@ std::string BuildTypeName() { return PF_BUILD_TYPE; }
 
 std::string SanitizerFlags() { return PF_SANITIZERS; }
 
+bool HostGatesArmed(const std::string& build_type, const std::string& sanitizers) {
+  return sanitizers.empty() && (build_type == "Release" || build_type == "RelWithDebInfo" ||
+                                build_type == "MinSizeRel");
+}
+
 void ReportCheck(const std::string& name, bool passed) {
   std::printf("    gate %-40s [%s]\n", name.c_str(), passed ? "pass" : "FAIL");
   if (json_checks == nullptr) {

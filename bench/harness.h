@@ -66,6 +66,10 @@ std::vector<BenchEntry> RegisteredBenches();
 std::string BuildGitSha();
 std::string BuildTypeName();
 std::string SanitizerFlags();
+// Host wall-clock gates only mean something on an optimized, sanitizer-free
+// build (Release family); under -O0 or ASan/UBSan they measure the build.
+bool HostGatesArmed(const std::string& build_type, const std::string& sanitizers);
+inline bool HostGatesArmed() { return HostGatesArmed(BuildTypeName(), SanitizerFlags()); }
 
 // --- Output formatting ---
 

@@ -46,23 +46,9 @@ BENCHMARK(BM_DemuxPredecoded)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 void BM_DemuxDecisionTree(benchmark::State& state) { RunDemux(state, pf::Strategy::kTree); }
 BENCHMARK(BM_DemuxDecisionTree)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
-// The hash dispatch index with the flow cache on (the default: repeated
-// packets of one flow are the cache's best case)...
+// The hash dispatch index: one probe, then only the bucket's filters run.
 void BM_DemuxIndexed(benchmark::State& state) { RunDemux(state, pf::Strategy::kIndexed); }
 BENCHMARK(BM_DemuxIndexed)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-
-// ...and with it off, isolating the raw index probe + re-confirm cost.
-void BM_DemuxIndexedNoCache(benchmark::State& state) {
-  const int ports = static_cast<int>(state.range(0));
-  pf::PacketFilter filter = MakeDemux(ports, pf::Strategy::kIndexed);
-  filter.SetFlowCacheCapacity(0);
-  const auto packet = pftest::MakePupFrame(8, static_cast<uint32_t>(ports));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(filter.Demux(packet));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DemuxIndexedNoCache)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 // §3.2's priority argument: the busy filter first vs last.
 void BM_DemuxMatchFirst(benchmark::State& state) {

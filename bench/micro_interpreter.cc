@@ -197,13 +197,9 @@ static int BenchMain(int argc, char** argv) {
       "verdict op, 'conj 21 hit' fuses every push+compare pair.");
 
   if (check) {
-    // Wall-clock ratios are only meaningful on an optimized, sanitizer-free
-    // build; under -O0 or ASan/UBSan the interpreters' bounds checks and
-    // shadow traffic dominate, so the gate would measure the sanitizer.
-    const std::string build = pfbench::BuildTypeName();
-    const bool release_family = build == "Release" || build == "RelWithDebInfo" ||
-                                build == "MinSizeRel";
-    const bool enforce = release_family && pfbench::SanitizerFlags().empty();
+    // Under -O0 or ASan/UBSan the interpreters' bounds checks and shadow
+    // traffic dominate, so the gate would measure the sanitizer.
+    const bool enforce = pfbench::HostGatesArmed();
     bool ok = true;
     for (const Ratio& r : gate) {
       const double speedup = r.compiled_ns > 0 ? r.fast_ns / r.compiled_ns : 0;

@@ -10,12 +10,15 @@
 // Expected shape: kChecked/kFast/kPredecoded grow linearly (half the bound
 // set runs per packet on average), kTree grows with tree depth, and
 // kIndexed stays flat: a constant number of hash probes plus one
-// re-confirmed filter, independent of port count. With the flow cache on,
-// repeated flows skip even the index probes' bucket scan.
+// re-confirmed filter, independent of port count. The demux walks only the
+// dispatch's survivors, so kIndexed's host wall clock stays flat too.
 //
 // `--check` exits non-zero unless kIndexed at 256 ports is at least 5x
-// cheaper than kFast at 256 ports — the CI regression gate for this
-// optimization.
+// cheaper than kFast at 256 ports, and kIndexed's wall ns/packet at 1024
+// ports is at most 3x its 1-port value — the CI regression gates for this
+// optimization. The wall gate is informational on non-Release or sanitized
+// builds, where it would measure the build rather than the demux.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -36,17 +39,13 @@ constexpr int kPortCounts[] = {1, 4, 16, 64, 256, 1024};
 struct WorkSample {
   double work_per_packet = 0;  // insns + tree probes + index probes
   double wall_ns_per_packet = 0;
-  double cache_hit_rate = 0;
 };
 
 // Demux `packets` frames (target socket rotating over every port) and
 // report the structural work per packet.
-WorkSample Measure(pf::Strategy strategy, int ports, bool flow_cache) {
+WorkSample Measure(pf::Strategy strategy, int ports) {
   pf::PacketFilter filter;
   filter.SetStrategy(strategy);
-  if (!flow_cache) {
-    filter.SetFlowCacheCapacity(0);
-  }
   for (int socket = 1; socket <= ports; ++socket) {
     const pf::PortId port = filter.OpenPort();
     filter.SetFilter(port, pfnet::MakePupSocketFilter(static_cast<uint32_t>(socket), 10));
@@ -64,14 +63,12 @@ WorkSample Measure(pf::Strategy strategy, int ports, bool flow_cache) {
     packets.push_back(pftest::MakePupFrame(8, socket));
   }
 
-  // One warm-up round: builds the tree/index and (with the cache on) seeds
-  // every distinct flow.
+  // One warm-up round: builds the tree/index.
   for (const auto& packet : packets) {
     filter.Demux(packet);
   }
 
   const pf::ExecTelemetry before = filter.global_stats().exec;
-  const uint64_t hits_before = filter.flow_cache_stats().hits;
   const int rounds = 512 / distinct + 1;
   const int total = rounds * distinct;
   const auto start = std::chrono::steady_clock::now();
@@ -93,12 +90,22 @@ WorkSample Measure(pf::Strategy strategy, int ports, bool flow_cache) {
       static_cast<double>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(end - start).count()) /
       total;
-  sample.cache_hit_rate =
-      static_cast<double>(filter.flow_cache_stats().hits - hits_before) / total;
   return sample;
 }
 
-// Drop accounting (PR 4): over a full run that loses packets every way the
+// One ~500-packet sample is short enough for host noise to move it; the
+// wall gate compares the best of a few samples on each side.
+double BestWallNs(pf::Strategy strategy, int ports) {
+  constexpr int kSamples = 5;
+  double best = 0;
+  for (int i = 0; i < kSamples; ++i) {
+    const double ns = Measure(strategy, ports).wall_ns_per_packet;
+    best = i == 0 ? ns : std::min(best, ns);
+  }
+  return best;
+}
+
+// Drop accounting: over a full run that loses packets every way the
 // demux can — queue overflow (1-deep queues, no reader), no-match (traffic
 // to unbound sockets), short-packet (truncated frames) — every non-delivered
 // packet must land in exactly one pf.drop.<reason> bucket:
@@ -186,7 +193,7 @@ static int BenchMain(int argc, char** argv) {
 
   for (const pf::Strategy strategy : pf::kAllStrategies) {
     for (const int ports : kPortCounts) {
-      const WorkSample sample = Measure(strategy, ports, /*flow_cache=*/false);
+      const WorkSample sample = Measure(strategy, ports);
       char label[64];
       std::snprintf(label, sizeof(label), "%-10s %5d ports", pf::ToString(strategy).c_str(),
                     ports);
@@ -208,19 +215,6 @@ static int BenchMain(int argc, char** argv) {
   pfbench::PrintTable("Per-packet demux wall clock (host CPU, informational)",
                       "same sweep as above", "ns/packet", wall_rows);
 
-  // The flow cache on top of the index: repeated flows skip the walk.
-  std::vector<pfbench::Row> cache_rows;
-  for (const int ports : kPortCounts) {
-    const WorkSample sample = Measure(pf::Strategy::kIndexed, ports, /*flow_cache=*/true);
-    char label[64];
-    std::snprintf(label, sizeof(label), "indexed+cache %5d ports (%.0f%% hits)", ports,
-                  sample.cache_hit_rate * 100);
-    cache_rows.push_back({label, nan, sample.work_per_packet});
-  }
-  pfbench::PrintTable("kIndexed with the flow verdict cache",
-                      "established flows re-confirm one filter and skip the walk",
-                      "insns+probes/packet", cache_rows);
-
   if (check) {
     const double ratio = indexed_at_256 > 0 ? fast_at_256 / indexed_at_256 : 0;
     std::printf("check: kFast@256 = %.2f, kIndexed@256 = %.2f, ratio = %.1fx (need >= 5x)\n",
@@ -230,6 +224,25 @@ static int BenchMain(int argc, char** argv) {
       std::printf("check FAILED\n");
       return 1;
     }
+
+    // Host work follows the candidates, not the port count.
+    const bool enforce = pfbench::HostGatesArmed();
+    const double wall_1 = BestWallNs(pf::Strategy::kIndexed, 1);
+    const double wall_1024 = BestWallNs(pf::Strategy::kIndexed, 1024);
+    const double wall_ratio = wall_1 > 0 ? wall_1024 / wall_1 : 0;
+    std::printf("check: kIndexed wall @1 = %.1f ns, @1024 = %.1f ns, ratio = %.2fx "
+                "(need <= 3x)%s\n",
+                wall_1, wall_1024, wall_ratio,
+                enforce ? "" : " [informational: non-Release or sanitized build]");
+    if (enforce) {
+      const bool flat = wall_ratio <= 3.0;
+      pfbench::ReportCheck("micro_scaling.indexed_wall_flat", flat);
+      if (!flat) {
+        std::printf("check FAILED\n");
+        return 1;
+      }
+    }
+
     const bool drops_ok = VerifyDropAccounting();
     pfbench::ReportCheck("micro_scaling.drop_accounting", drops_ok);
     if (!drops_ok) {

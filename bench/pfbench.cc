@@ -544,9 +544,7 @@ int main(int argc, char** argv) {
     pfbench::CompareOptions copts;
     copts.wall_tol = options.wall_tol;
     copts.obs_tol = options.obs_tol;
-    copts.gate_host = doc.sanitizers.empty() && (doc.build_type == "Release" ||
-                                                 doc.build_type == "RelWithDebInfo" ||
-                                                 doc.build_type == "MinSizeRel");
+    copts.gate_host = pfbench::HostGatesArmed(doc.build_type, doc.sanitizers);
     const pfbench::CompareResult result = pfbench::CompareRuns(baseline, doc, copts);
     std::fputs(result.report.c_str(), stdout);
     std::printf("pfbench --compare: %d regression(s), %d improvement(s), %d warning(s)\n",

@@ -113,10 +113,7 @@ int main(int argc, char** argv) {
   } else if (gate_host == "off") {
     options.gate_host = false;
   } else {
-    options.gate_host =
-        fresh.sanitizers.empty() &&
-        (fresh.build_type == "Release" || fresh.build_type == "RelWithDebInfo" ||
-         fresh.build_type == "MinSizeRel");
+    options.gate_host = pfbench::HostGatesArmed(fresh.build_type, fresh.sanitizers);
   }
   if (!options.gate_host) {
     std::fprintf(stderr,

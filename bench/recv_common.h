@@ -76,7 +76,6 @@ inline double MeasureReceivePerPacketMs(const RecvConfig& config) {
   }
   if (config.profile) {
     receiver.pf().core().SetProfiling(true);
-    receiver.pf().core().SetFlowCacheCapacity(0);
   }
   if (config.trace != nullptr) {
     receiver.AttachTrace(config.trace);

@@ -42,8 +42,6 @@ std::string ToString(Cost category) {
       return "character display";
     case Cost::kIndexProbe:
       return "index probe";
-    case Cost::kFlowCache:
-      return "flow-cache lookup";
     case Cost::kRingPost:
       return "ring post";
     case Cost::kRingReap:
@@ -98,8 +96,6 @@ std::string ToSlug(Cost category) {
       return "display";
     case Cost::kIndexProbe:
       return "index_probe";
-    case Cost::kFlowCache:
-      return "flow_cache";
     case Cost::kRingPost:
       return "ring_post";
     case Cost::kRingReap:

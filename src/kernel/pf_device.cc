@@ -30,7 +30,6 @@ PacketFilterDevice::PacketFilterDevice(Machine* machine) : machine_(machine) {
     filter_eval_hist_[static_cast<size_t>(strategy)] =
         registry.histogram("pf.filter_eval." + pf::ToString(strategy));
   }
-  flow_cache_hist_ = registry.histogram("pf.demux.cache.lookup");
   ring_post_hist_ = registry.histogram("pf.ring.post");
   ring_reap_hist_ = registry.histogram("pf.ring.reap");
   demux_latency_hist_ = registry.histogram("pf.demux.latency");
@@ -447,13 +446,6 @@ pfsim::ValueTask<void> PacketFilterDevice::HandlePacket(const pf::PacketBuf& pac
       machine_->costs().index_probe * static_cast<int64_t>(result.exec.index_probes);
   if (index_cost.count() > 0) {
     charges.emplace_back(Cost::kIndexProbe, index_cost);
-  }
-  if (result.cache_lookup) {
-    const pfsim::Duration cache_cost = machine_->costs().flow_cache_lookup;
-    charges.emplace_back(Cost::kFlowCache, cache_cost);
-    // Same condition as the Ledger charge, so "pf.demux.cache.lookup"
-    // reconciles exactly with ledger.flow_cache.* (asserted in obs_test).
-    flow_cache_hist_->Record(cache_cost.count());
   }
   if (result.conn_lookup) {
     // One kConnDb charge per consulting packet (lookup, plus the establish

@@ -196,9 +196,6 @@ class PacketFilterDevice {
   pfobs::Counter* ring_reaped_counter_ = nullptr;    // RX descriptors reaped
   pfobs::Counter* ring_tx_posts_counter_ = nullptr;  // TX descriptors posted
   pfobs::Histogram* filter_eval_hist_[pf::kStrategyCount] = {};
-  // Samples the simulated flow-cache lookup cost per consulting packet;
-  // reconciles exactly with the Ledger's kFlowCache charges.
-  pfobs::Histogram* flow_cache_hist_ = nullptr;
   // One sample per descriptor posted/reaped; sums reconcile exactly with
   // ledger.ring_post.* / ledger.ring_reap.* (asserted in obs_test and the
   // micro_zerocopy --check gate).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace pf {
 
@@ -67,10 +68,10 @@ void PacketFilter::ClearFilter(PortId id) {
 void PacketFilter::SetDeliverToLower(PortId id, bool enabled) {
   if (PortState* port = Find(id)) {
     port->deliver_to_lower = enabled;
-    // Copy-all semantics change who receives an already-cached flow (a
-    // newly copy-all high-priority port must see its copies), and this
-    // does not dirty the priority order — wipe the cache directly.
-    InvalidateFlowCache();
+    // Copy-all semantics change who receives an established flow (a newly
+    // copy-all high-priority port must see its copies), and this does not
+    // dirty the priority order — stale conndb verdicts directly.
+    ++conn_epoch_;
   }
 }
 
@@ -104,15 +105,9 @@ void PacketFilter::SetBusyReordering(bool enabled) {
 
 void PacketFilter::SetStrategy(Strategy strategy) {
   engine_.set_strategy(strategy);
-  // Strategy changes rebuild the engine's index, so cached signatures no
-  // longer mean anything.
-  InvalidateFlowCache();
-}
-
-void PacketFilter::SetFlowCacheCapacity(size_t capacity) {
-  flow_cache_capacity_ = capacity;
-  InvalidateFlowCache();
-  UpdateCacheGauges();
+  // The new strategy dispatches a different set of filters: the next demux
+  // recomputes the residue (and bumps the conn epoch).
+  order_dirty_ = true;
 }
 
 void PacketFilter::SetProfiling(bool enabled) { engine_.SetProfiling(enabled); }
@@ -138,29 +133,6 @@ std::vector<PortId> PacketFilter::Ports() const {
   }
   std::sort(ids.begin(), ids.end());
   return ids;
-}
-
-void PacketFilter::InvalidateFlowCache() {
-  // Everything that stales the verdict cache equally stales conndb-served
-  // verdicts: bump the epoch so stamped entries stop being served (they
-  // survive, and the next full walk restamps them).
-  ++conn_epoch_;
-  if (flow_cache_.empty()) {
-    return;
-  }
-  flow_cache_.clear();
-  ++flow_cache_stats_.invalidations;
-  if (metrics_.cache_invalidations != nullptr) {
-    metrics_.cache_invalidations->Add();
-  }
-  UpdateCacheGauges();
-}
-
-void PacketFilter::UpdateCacheGauges() {
-  if (metrics_.cache_size != nullptr) {
-    metrics_.cache_size->Set(static_cast<int64_t>(flow_cache_.size()));
-    metrics_.cache_capacity->Set(static_cast<int64_t>(flow_cache_capacity_));
-  }
 }
 
 void PacketFilter::EnableConnTracking(ConnDB::Config config) {
@@ -198,13 +170,6 @@ void PacketFilter::AttachMetrics(pfobs::MetricsRegistry* registry) {
     metrics_.deliveries = registry->counter("pf.demux.deliveries");
     metrics_.drops = registry->counter("pf.demux.drops");
     metrics_.filter_errors = registry->counter("pf.demux.filter_errors");
-    metrics_.cache_lookups = registry->counter("pf.demux.cache.lookups");
-    metrics_.cache_hits = registry->counter("pf.demux.cache.hits");
-    metrics_.cache_insertions = registry->counter("pf.demux.cache.insertions");
-    metrics_.cache_invalidations = registry->counter("pf.demux.cache.invalidations");
-    metrics_.cache_size = registry->gauge("pf.demux.cache.size");
-    metrics_.cache_capacity = registry->gauge("pf.demux.cache.capacity");
-    UpdateCacheGauges();
     for (size_t i = 0; i < kDropReasonCount; ++i) {
       metrics_.drop_reasons[i] =
           registry->counter("pf.drop." + ToSlug(static_cast<DropReason>(i)));
@@ -216,7 +181,8 @@ void PacketFilter::AttachMetrics(pfobs::MetricsRegistry* registry) {
   engine_.AttachMetrics(registry);
 }
 
-void PacketFilter::RebuildOrder() {
+bool PacketFilter::RebuildOrder() {
+  engine_.Refresh();  // so Dispatched() below sees the current tree/index
   ordered_.clear();
   ordered_.reserve(ports_.size());
   for (auto& [id, port] : ports_) {
@@ -236,6 +202,16 @@ void PacketFilter::RebuildOrder() {
     }
     return a->open_seq < b->open_seq;
   });
+  bool moved = false;
+  residue_.clear();
+  for (size_t rank = 0; rank < ordered_.size(); ++rank) {
+    PortState* port = ordered_[rank];
+    moved = moved || port->rank != rank;
+    port->rank = rank;
+    if (!engine_.Dispatched(*port->binding)) {
+      residue_.push_back(port);
+    }
+  }
   // Conndb serve-soundness: the FlowSignature hashes the first
   // kFlowSignaturePrefix bytes, so stored verdicts are only trustworthy
   // when every bound filter's verdict is a function of that prefix — no
@@ -251,6 +227,21 @@ void PacketFilter::RebuildOrder() {
     }
   }
   order_dirty_ = false;
+  return moved;
+}
+
+std::span<PacketFilter::PortState* const> PacketFilter::SurvivorWalk(
+    std::span<const Engine::Key> survivors) {
+  const auto by_rank = [](const PortState* a, const PortState* b) { return a->rank < b->rank; };
+  survivors_.clear();
+  for (const Engine::Key key : survivors) {
+    survivors_.push_back(Find(key));
+  }
+  std::sort(survivors_.begin(), survivors_.end(), by_rank);
+  walk_.clear();
+  std::merge(survivors_.begin(), survivors_.end(), residue_.begin(), residue_.end(),
+             std::back_inserter(walk_), by_rank);
+  return walk_;
 }
 
 void PacketFilter::CountDrop(PortState* port, DropReason reason, std::span<const uint8_t> packet,
@@ -372,16 +363,12 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
   }
   if (order_dirty_ || (busy_reordering_ && demux_count_ % kReorderInterval == 0)) {
     // Any change that dirtied the order (SetFilter / ClearFilter /
-    // ClosePort / a priority change) — and any busy-reordering shuffle that
-    // actually moved a port — makes cached flow verdicts stale.
+    // ClosePort / a priority or strategy change) — and any busy-reordering
+    // shuffle that actually moved a port — can change which port claims a
+    // flow, so conndb verdicts stamped before it stop being served.
     const bool was_dirty = order_dirty_;
-    std::vector<PortState*> previous;
-    if (!was_dirty && !flow_cache_.empty()) {
-      previous = ordered_;
-    }
-    RebuildOrder();
-    if (was_dirty || (!previous.empty() && previous != ordered_)) {
-      InvalidateFlowCache();
+    if (RebuildOrder() || was_dirty) {
+      ++conn_epoch_;
     }
   }
 
@@ -391,9 +378,21 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
   bool saw_short = false;
   bool saw_other_error = false;
   int32_t error_pc = -1;
+  // Runs `port`'s filter in `pass`; an error status rejects and is counted.
+  const auto accepts_packet = [&](Engine::MatchPass& pass, PortState* port) {
+    const Verdict verdict = pass.Test(port->id, port->binding);
+    if (verdict.status != ExecStatus::kOk) {
+      ++port->stats.filter_errors;
+      ++filter_errors;
+      (verdict.status == ExecStatus::kOutOfPacket ? saw_short : saw_other_error) = true;
+      if (error_pc < 0 && verdict.insns_executed > 0) {
+        error_pc = static_cast<int32_t>(verdict.insns_executed) - 1;
+      }
+    }
+    return verdict.accept;
+  };
 
-  // Conndb fast path (when tracking is enabled it replaces the verdict
-  // cache below): if every bound filter's verdict is determined by the
+  // Conndb fast path: if every bound filter's verdict is determined by the
   // hashed prefix and this flow has established state, re-confirm with the
   // stored port's own filter and skip the priority walk.
   bool served_from_conn = false;
@@ -406,17 +405,9 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
       PortState* port = Find(entry->port);
       if (port != nullptr && port->has_filter && !port->deliver_to_lower) {
         Engine::MatchPass pass = engine_.Match(packet);
-        const Verdict verdict = pass.Test(port->id, port->binding);
+        const bool accepted = accepts_packet(pass, port);
         result.exec += pass.telemetry();
-        if (verdict.status != ExecStatus::kOk) {
-          ++port->stats.filter_errors;
-          ++filter_errors;
-          (verdict.status == ExecStatus::kOutOfPacket ? saw_short : saw_other_error) = true;
-          if (error_pc < 0 && verdict.insns_executed > 0) {
-            error_pc = static_cast<int32_t>(verdict.insns_executed) - 1;
-          }
-        }
-        if (verdict.accept) {
+        if (accepted) {
           DeliverTo(*port, packet, buf, timestamp_ns, flow_id, &result);
           result.accepted = true;
           result.conn_hit = true;
@@ -432,73 +423,28 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
     }
   }
 
-  // Flow-cache fast path: if the engine's discriminating-word signature
-  // fully determines every filter's verdict and we have seen this flow
-  // claim a port before, re-confirm with that port's own filter and skip
-  // the priority walk entirely.
-  std::optional<uint64_t> signature;
-  if (conndb_ == nullptr && flow_cache_capacity_ > 0) {
-    signature = engine_.IndexSignature(packet);
-    if (signature.has_value() && !engine_.index_covers_all()) {
-      signature.reset();
-    }
-  }
-  bool served_from_cache = false;
-  if (signature.has_value()) {
-    result.cache_lookup = true;
-    ++flow_cache_stats_.lookups;
-    const auto it = flow_cache_.find(*signature);
-    if (it != flow_cache_.end()) {
-      PortState* port = Find(it->second);
-      if (port != nullptr && port->has_filter && !port->deliver_to_lower) {
-        Engine::MatchPass pass = engine_.Match(packet);
-        const Verdict verdict = pass.Test(port->id, port->binding);
-        result.exec += pass.telemetry();
-        if (verdict.status != ExecStatus::kOk) {
-          ++port->stats.filter_errors;
-          ++filter_errors;
-          (verdict.status == ExecStatus::kOutOfPacket ? saw_short : saw_other_error) = true;
-          if (error_pc < 0 && verdict.insns_executed > 0) {
-            error_pc = static_cast<int32_t>(verdict.insns_executed) - 1;
-          }
-        }
-        if (verdict.accept) {
-          DeliverTo(*port, packet, buf, timestamp_ns, flow_id, &result);
-          result.accepted = true;
-          result.cache_hit = true;
-          ++flow_cache_stats_.hits;
-          served_from_cache = true;
-        }
-      }
-      if (!served_from_cache) {
-        // Hash collision or a port reconfiguration we could not attribute:
-        // drop the entry and take the full walk below.
-        flow_cache_.erase(it);
-        ++flow_cache_stats_.stale;
-        UpdateCacheGauges();
-      }
-    }
-  }
-
-  if (!served_from_cache && !served_from_conn) {
+  if (!served_from_conn) {
     // One engine pass per packet: under kTree its construction walks the
     // tree once for every conjunction filter; under kIndexed it probes the
     // hash index once; the sequential strategies evaluate lazily, so
     // breaking out early skips the remaining filters' work.
     Engine::MatchPass pass = engine_.Match(packet);
+    // A filter the dispatch pruned rejects with no work, status or side
+    // effect, so walking only the survivors and the undispatched residue,
+    // in rank order, claims and accounts exactly like walking every port.
+    // Profiling keeps the full walk: its uncharged replays visit the
+    // pruned filters too. So does a survivor list no shorter than the
+    // full one, which is cheaper to walk than to build.
+    std::span<PortState* const> walk = ordered_;
+    if (const auto survivors = pass.survivors();
+        survivors && !engine_.profiling() &&
+        survivors->size() + residue_.size() < ordered_.size()) {
+      walk = SurvivorWalk(*survivors);
+    }
     uint32_t accepts = 0;
     PortState* claimer = nullptr;
-    for (PortState* port : ordered_) {
-      const Verdict verdict = pass.Test(port->id, port->binding);
-      if (verdict.status != ExecStatus::kOk) {
-        ++port->stats.filter_errors;
-        ++filter_errors;
-        (verdict.status == ExecStatus::kOutOfPacket ? saw_short : saw_other_error) = true;
-        if (error_pc < 0 && verdict.insns_executed > 0) {
-          error_pc = static_cast<int32_t>(verdict.insns_executed) - 1;
-        }
-      }
-      if (!verdict.accept) {
+    for (PortState* port : walk) {
+      if (!accepts_packet(pass, port)) {
         continue;
       }
       DeliverTo(*port, packet, buf, timestamp_ns, flow_id, &result);
@@ -511,25 +457,11 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
     }
     result.exec += pass.telemetry();
 
-    // Record the flow only when exactly one port took the packet and it
-    // claimed exclusively — copy-all (deliver_to_lower) deliveries must
-    // keep taking the full walk.
-    if (signature.has_value() && accepts == 1 && claimer != nullptr &&
-        !claimer->deliver_to_lower) {
-      if (flow_cache_.size() >= flow_cache_capacity_ && !flow_cache_.contains(*signature)) {
-        flow_cache_.clear();  // coarse wipe; live flows re-enter immediately
-      }
-      flow_cache_[*signature] = claimer->id;
-      ++flow_cache_stats_.insertions;
-      if (metrics_.cache_insertions != nullptr) {
-        metrics_.cache_insertions->Add();
-      }
-      UpdateCacheGauges();
-    }
-
-    // Establish connection state under the same exclusivity rule the cache
-    // uses. The DB may refuse (emergency mode) — then this flow simply
-    // keeps taking the stateless walk.
+    // Establish connection state only when exactly one port took the
+    // packet and it claimed exclusively — copy-all (deliver_to_lower)
+    // deliveries must keep taking the full walk. The DB may refuse
+    // (emergency mode) — then this flow simply keeps taking the stateless
+    // walk.
     if (conndb_ != nullptr && conn_servable_ && accepts == 1 &&
         claimer != nullptr && !claimer->deliver_to_lower) {
       conndb_->Establish(SigOf(packet), claimer->id, timestamp_ns, conn_epoch_,
@@ -570,12 +502,6 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
     metrics_.deliveries->Add(result.deliveries);
     metrics_.drops->Add(result.drops);
     metrics_.filter_errors->Add(filter_errors);
-    if (result.cache_lookup) {
-      metrics_.cache_lookups->Add();
-    }
-    if (result.cache_hit) {
-      metrics_.cache_hits->Add();
-    }
   }
   // Per-flow accounting: exactly one Record per demuxed packet, so
   // pf.flow.packets == pf.demux.packets_in and pf.flow.deliveries ==

@@ -80,14 +80,15 @@ struct PortStats {
   // kRndBlock — ext.h), so `dropped == TotalDrops(drops_by_reason)`
   // (asserted in demux.cc).
   DropCounts drops_by_reason{};
+
+  friend bool operator==(const PortStats&, const PortStats&) = default;
 };
 
 struct DemuxResult {
   bool accepted = false;       // at least one port took the packet
   uint32_t deliveries = 0;     // copies enqueued
   uint32_t drops = 0;          // copies lost to full queues
-  bool cache_lookup = false;   // the flow verdict cache was consulted
-  bool cache_hit = false;      // delivery served from the cache (re-confirmed)
+  bool cache_hit = false;      // always false; kept only because perfbench/ still reads it
   bool conn_lookup = false;    // the connection database was consulted
   bool conn_hit = false;       // delivery served from conndb state (re-confirmed)
   uint64_t flow_sig = 0;       // the packet's flow signature, when flow
@@ -95,15 +96,6 @@ struct DemuxResult {
                                // (0 = never computed); the kernel device
                                // keys per-flow latency on this
   ExecTelemetry exec;          // what the engine did for this packet
-};
-
-// Per-flow verdict cache counters (see PacketFilter::Demux).
-struct FlowCacheStats {
-  uint64_t lookups = 0;        // packets for which the cache was consulted
-  uint64_t hits = 0;           // deliveries served from the cache
-  uint64_t stale = 0;          // entries evicted after failing re-confirmation
-  uint64_t insertions = 0;     // new flow entries recorded
-  uint64_t invalidations = 0;  // full wipes (filter/port/priority changes)
 };
 
 struct FilterGlobalStats {
@@ -140,7 +132,8 @@ class PacketFilter {
   // Maximum input-queue length; overflow drops and counts.
   void SetQueueLimit(PortId id, size_t limit);
   void SetTimestamps(PortId id, bool enabled);
-  // Invoked after each enqueue on the port (the host's wakeup hook).
+  // Invoked after each enqueue on the port (the host's wakeup hook). It runs
+  // inside Demux() and must not call Demux() again.
   void SetEnqueueCallback(PortId id, std::function<void()> callback);
 
   // --- Demultiplexing (fig. 4-1) ---
@@ -192,20 +185,6 @@ class PacketFilter {
   void SetStrategy(Strategy strategy);
   Strategy strategy() const { return engine_.strategy(); }
 
-  // --- Flow verdict cache (active under Strategy::kIndexed) ---
-  // Demux() caches "this flow signature was claimed by this port" keyed by
-  // the engine's discriminating-word signature, so repeated packets of an
-  // established flow skip the priority walk. Soundness: entries are only
-  // consulted when the signature determines every filter's verdict
-  // (Engine::index_covers_all), the cached port's own filter re-confirms
-  // every hit, deliver_to_lower ports are never served from (or entered
-  // into) the cache, and any SetFilter/ClearFilter/ClosePort/priority or
-  // strategy change wipes it. `capacity` 0 disables the cache; when full it
-  // is wiped wholesale (coarse, but an established flow re-enters on its
-  // next packet).
-  void SetFlowCacheCapacity(size_t capacity);
-  size_t flow_cache_size() const { return flow_cache_.size(); }
-  const FlowCacheStats& flow_cache_stats() const { return flow_cache_stats_; }
   // The engine executing this demultiplexer's filters (tree introspection,
   // bound-program lookup).
   const Engine& engine() const { return engine_; }
@@ -231,21 +210,21 @@ class PacketFilter {
   const pfobs::FlowTable* flow_stats() const { return flow_table_.get(); }
 
   // --- Stateful connection tracking (conndb.h, DESIGN.md §17) ---
-  // Opt-in: promotes the flow verdict cache into a full connection database
-  // (verdict + accounting + TTL expiry + overload watermarks). While
-  // enabled it *replaces* the verdict cache as the fast path; disabled (the
-  // default) the demux is byte-identical to the pre-conndb behavior, which
-  // is what keeps the clean-path observatory baselines stable.
+  // Opt-in: the demux's only per-flow memo — a connection database
+  // (verdict + accounting + TTL expiry + overload watermarks) that lets an
+  // established flow skip the priority walk. Disabled (the default) the
+  // demux is byte-identical to the pre-conndb behavior, which is what keeps
+  // the clean-path observatory baselines stable.
   //
-  // Soundness mirrors the verdict cache, with one difference: the key is
-  // the strategy-independent pfobs::FlowSignature (FNV over the first 64
-  // bytes), so state is only consulted when every bound filter's verdict is
-  // determined by that prefix — `conn_servable()`: every filter has
-  // uses_indirect == false and max_word_index within the prefix. Every hit
-  // is re-confirmed by the claimed port's own filter; entries are stamped
-  // with `conn_epoch()`, which bumps on any filter/port/priority/strategy
-  // change, so reconfiguration never serves a stale verdict (the entry
-  // survives and is restamped by the next full walk). deliver_to_lower
+  // Soundness: the key is the strategy-independent pfobs::FlowSignature
+  // (FNV over the first 64 bytes), so state is only consulted when every
+  // bound filter's verdict is determined by that prefix — `conn_servable()`:
+  // every filter has uses_indirect == false and max_word_index within the
+  // prefix. Every hit is re-confirmed by the claimed port's own filter;
+  // entries are stamped with `conn_epoch()`, which bumps on any
+  // filter/port/priority/strategy/copy-all change and on every busy reorder
+  // that moves a port, so reconfiguration never serves a stale verdict (the
+  // entry survives and is restamped by the next full walk). deliver_to_lower
   // ports are never served from (or entered into) the database. When the
   // DB refuses state (emergency mode), the flow simply stays on the
   // stateless priority-walk path — graceful degradation, never blocking.
@@ -294,16 +273,21 @@ class PacketFilter {
     // demux walk does no per-(packet, port) hash lookup. nullptr when no
     // filter is bound.
     const Engine::Binding* binding = nullptr;
+    // Position in ordered_ (set by RebuildOrder); the survivor walk merges
+    // by it.
+    size_t rank = SIZE_MAX;
   };
 
   static constexpr size_t kDefaultQueueLimit = 32;
   static constexpr uint64_t kReorderInterval = 256;
-  static constexpr size_t kDefaultFlowCacheCapacity = 1024;
 
   PortState* Find(PortId id);
   const PortState* Find(PortId id) const;
-  void RebuildOrder();
-  void InvalidateFlowCache();
+  // Returns true when some port changed rank.
+  bool RebuildOrder();
+  // The ports a pass with these dispatch survivors has to test: the
+  // survivors plus residue_, in rank order (held in walk_).
+  std::span<PortState* const> SurvivorWalk(std::span<const Engine::Key> survivors);
   // The current packet's flow signature, computed on first use per Demux
   // pass (cur_sig_ is reset at DemuxImpl entry; 0 = not yet computed).
   uint64_t SigOf(std::span<const uint8_t> packet) {
@@ -324,18 +308,17 @@ class PacketFilter {
   Engine engine_;
   std::unordered_map<PortId, std::unique_ptr<PortState>> ports_;
   std::vector<PortState*> ordered_;  // by (priority desc, open_seq asc)
+  // The ordered_ ports the engine's dispatch never prunes (not
+  // Engine::Dispatched), in rank order; recomputed by RebuildOrder.
+  std::vector<PortState*> residue_;
+  std::vector<PortState*> survivors_;  // SurvivorWalk scratch
+  std::vector<PortState*> walk_;       // SurvivorWalk output
   bool order_dirty_ = false;
   bool busy_reordering_ = false;
   PortId next_port_id_ = 1;
   uint64_t next_open_seq_ = 0;
   uint64_t demux_count_ = 0;
   FilterGlobalStats global_stats_;
-
-  // Flow verdict cache: discriminating-word signature -> claiming port.
-  std::unordered_map<uint64_t, PortId> flow_cache_;
-  size_t flow_cache_capacity_ = kDefaultFlowCacheCapacity;
-  FlowCacheStats flow_cache_stats_;
-  void UpdateCacheGauges();
 
   // Connection database (null = disabled, the default — see
   // EnableConnTracking above).
@@ -362,14 +345,6 @@ class PacketFilter {
     pfobs::Counter* deliveries = nullptr;
     pfobs::Counter* drops = nullptr;
     pfobs::Counter* filter_errors = nullptr;
-    pfobs::Counter* cache_lookups = nullptr;
-    pfobs::Counter* cache_hits = nullptr;
-    pfobs::Counter* cache_insertions = nullptr;
-    pfobs::Counter* cache_invalidations = nullptr;
-    // Residency gauges next to the counters above, so pfstat can show
-    // cache pressure without diffing counters across samples.
-    pfobs::Gauge* cache_size = nullptr;
-    pfobs::Gauge* cache_capacity = nullptr;
     // "pf.drop.<reason>", indexed by DropReason.
     pfobs::Counter* drop_reasons[kDropReasonCount] = {};
   };

@@ -239,7 +239,6 @@ void Engine::Clear() {
   index_pairs_.clear();
   index_buckets_.clear();
   index_entries_ = 0;
-  index_covers_all_ = false;
   index_min_packet_bytes_ = 0;
   index_dirty_ = false;
   compiled_prefix_groups_ = 0;
@@ -305,7 +304,6 @@ void Engine::RebuildIndex() {
   index_pairs_.clear();
   index_buckets_.clear();
   index_entries_ = 0;
-  index_covers_all_ = false;
   index_min_packet_bytes_ = 0;
   index_dirty_ = false;
   for (auto& [key, binding] : filters_) {
@@ -319,10 +317,8 @@ void Engine::RebuildIndex() {
   // pairs tested by the *most* filters discriminate best (same heuristic as
   // DecisionTree::BuildNode). std::map keeps the choice deterministic.
   std::map<FieldTestKey, size_t> counts;
-  bool all_conjunctions = true;
   for (const auto& [key, binding] : filters_) {
     if (!binding.conjunction.has_value()) {
-      all_conjunctions = false;
       continue;
     }
     for (const FieldTest& test : *binding.conjunction) {
@@ -352,16 +348,6 @@ void Engine::RebuildIndex() {
   for (const auto& [pair, n] : counts) {
     if (n == max_count && index_pairs_.size() < kMaxIndexWords) {
       index_pairs_.push_back(pair);
-    }
-  }
-
-  // The signature fully determines every filter's verdict iff every filter
-  // is a conjunction and every tested pair is among the probed ones.
-  index_covers_all_ = all_conjunctions;
-  for (const auto& [pair, n] : counts) {
-    if (std::find(index_pairs_.begin(), index_pairs_.end(), pair) == index_pairs_.end()) {
-      index_covers_all_ = false;
-      break;
     }
   }
 
@@ -395,27 +381,6 @@ void Engine::RebuildIndex() {
           std::max<size_t>(index_min_packet_bytes_, 2 * (static_cast<size_t>(test.word) + 1));
     }
   }
-}
-
-std::optional<uint64_t> Engine::IndexSignature(std::span<const uint8_t> packet) {
-  if (strategy_ != Strategy::kIndexed) {
-    return std::nullopt;
-  }
-  if (index_dirty_) {
-    RebuildIndex();
-  }
-  if (index_pairs_.empty()) {
-    return std::nullopt;
-  }
-  uint64_t signature = kFnvOffset;
-  for (const FieldTestKey& pair : index_pairs_) {
-    uint16_t word = 0;
-    if (!pfutil::LoadPacketWord(packet, pair.word, &word)) {
-      return std::nullopt;
-    }
-    signature = MixIndexHash(signature, static_cast<uint16_t>(word & pair.mask));
-  }
-  return signature;
 }
 
 void Engine::RebuildCompiledPrefixes() {
@@ -502,17 +467,21 @@ void Engine::RebuildTree() {
   tree_dirty_ = false;
 }
 
-Engine::MatchPass Engine::Match(std::span<const uint8_t> packet) {
+void Engine::Refresh() {
   if (strategy_ == Strategy::kTree && tree_dirty_) {
     RebuildTree();
   }
   if (strategy_ == Strategy::kIndexed && index_dirty_) {
     RebuildIndex();
   }
+  if (strategy_ == Strategy::kCompiled && compiled_dirty_) {
+    RebuildCompiledPrefixes();
+  }
+}
+
+Engine::MatchPass Engine::Match(std::span<const uint8_t> packet) {
+  Refresh();
   if (strategy_ == Strategy::kCompiled) {
-    if (compiled_dirty_) {
-      RebuildCompiledPrefixes();
-    }
     // New pass: every prefix-cache entry with an older generation is stale.
     ++compiled_pass_gen_;
   }
@@ -548,6 +517,19 @@ Engine::MatchPass Engine::Match(std::span<const uint8_t> packet) {
     }
   }
   return pass;
+}
+
+std::optional<std::span<const Engine::Key>> Engine::MatchPass::survivors() const {
+  if (tree_matches_ != nullptr) {
+    return std::span<const Key>(*tree_matches_);
+  }
+  if (index_active_ && !index_seq_fallback_) {
+    if (index_candidates_ == nullptr) {
+      return std::span<const Key>();  // empty bucket: every indexed filter pruned
+    }
+    return std::span<const Key>(*index_candidates_);
+  }
+  return std::nullopt;
 }
 
 Verdict Engine::MatchPass::Test(Key key) { return Test(key, engine_->FindBinding(key)); }

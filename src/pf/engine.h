@@ -114,6 +114,7 @@ struct ExecTelemetry {
     fused_ops += other.fused_ops;
     return *this;
   }
+  friend bool operator==(const ExecTelemetry&, const ExecTelemetry&) = default;
 };
 
 // One filter's answer for one packet. Errors reject (§4) and are surfaced in
@@ -208,23 +209,29 @@ class Engine {
   size_t tree_nodes() const { return tree_.node_count(); }
 
   // --- Index introspection (meaningful under kIndexed) ---
-  // These reflect the most recently built index; Match() and
-  // IndexSignature() rebuild it lazily after Bind/Unbind/set_strategy.
+  // These reflect the most recently built index; Match() and Refresh()
+  // rebuild it lazily after Bind/Unbind/set_strategy.
   bool index_in_use() const { return strategy_ == Strategy::kIndexed && index_entries_ > 0; }
   // Number of discriminating (word, mask) pairs probed per packet.
   size_t index_width() const { return index_pairs_.size(); }
   // Filters dispatched through the index (the rest run sequentially).
   size_t index_entries() const { return index_entries_; }
-  // True when *every* bound filter is a conjunction over the discriminating
-  // pairs, i.e. the index signature fully determines every filter's
-  // verdict. This is the soundness precondition for hosts that cache
-  // verdicts keyed by IndexSignature() (PacketFilter's flow cache).
-  bool index_covers_all() const { return index_covers_all_; }
-  // The hash of the discriminating words' masked values for `packet` —
-  // the flow-cache key. Rebuilds the index if stale. nullopt when the
-  // strategy is not kIndexed, no index exists, or the packet is too short
-  // to load every discriminating word.
-  std::optional<uint64_t> IndexSignature(std::span<const uint8_t> packet);
+
+  // --- Dispatch (kTree / kIndexed) ---
+  // Rebuilds whatever Bind/Unbind/set_strategy left stale (tree, index,
+  // compiled prefixes). Match() does this lazily; a host that caches
+  // Dispatched() answers calls it first.
+  void Refresh();
+  // True when passes answer `binding` through the strategy's dispatch
+  // structure (kTree's walk, kIndexed's hash bucket): unless it is among
+  // MatchPass::survivors(), a pass rejects it with no telemetry and no
+  // status (profiling still replays it, uncharged). False for every binding
+  // under the sequential strategies. Reflects the structure as of the last
+  // Refresh()/Match().
+  bool Dispatched(const Binding& binding) const {
+    return (tree_in_use() && binding.conjunction.has_value()) ||
+           (index_in_use() && binding.indexed);
+  }
 
   // --- Compiled-backend introspection (meaningful under kCompiled) ---
   // Shared-prefix groups found across the bound set; reflects the most
@@ -263,6 +270,13 @@ class Engine {
     // engine's binding for `key`, or nullptr) — skips the map lookup.
     Verdict Test(Key key, const Binding* binding);
     const ExecTelemetry& telemetry() const { return telemetry_; }
+    // The Dispatched() filters this pass may accept — kTree's walk matches
+    // or kIndexed's hash bucket — in no particular order. Test() rejects
+    // every other Dispatched() filter with no telemetry and no status, so a
+    // caller may skip them. nullopt when the pass dispatched nothing (a
+    // sequential strategy, an empty tree or index, or kIndexed's
+    // short-packet fallback): then every filter has to be tested.
+    std::optional<std::span<const Key>> survivors() const;
 
    private:
     friend class Engine;
@@ -334,7 +348,6 @@ class Engine {
   std::vector<FieldTestKey> index_pairs_;  // the discriminating words, sorted
   std::unordered_map<uint64_t, std::vector<Key>> index_buckets_;
   size_t index_entries_ = 0;
-  bool index_covers_all_ = false;
   // Every indexed filter's word references fit in a packet of at least this
   // many bytes; shorter packets take the sequential fallback so pruning
   // can never hide a kOutOfPacket status a sequential run would report.

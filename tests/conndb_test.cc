@@ -453,6 +453,34 @@ TEST(ConnDemuxTest, SetFilterBumpsEpochAndRestamps) {
   EXPECT_TRUE(db->IdentityHolds());
 }
 
+// A busy reorder that moves a port changes which port the stateless walk
+// picks, so it must stale stored verdicts exactly like a binding change.
+TEST(ConnDemuxTest, BusyReorderStalesStoredVerdicts) {
+  PacketFilter filter;
+  const PortId a = filter.OpenPort();
+  const PortId b = filter.OpenPort();
+  ASSERT_TRUE(filter.SetFilter(a, SocketFilter(1, 10)).ok);
+  ASSERT_TRUE(filter.SetFilter(b, Program{10, pf::LangVersion::kV1, {}}).ok);  // accept-all
+  filter.SetBusyReordering(true);
+  filter.EnableConnTracking({});
+
+  const auto flow_x = pftest::MakePupFrame(8, 1);
+  uint64_t now = 1000;
+  filter.Demux(flow_x, now);  // `a` opened first, claims, and X -> a is stored
+  // `b` takes everything else; the reorder at packet 256 moves it ahead.
+  for (int i = 0; i < 300; ++i) {
+    filter.Demux(pftest::MakePupFrame(8, 2), now += 1000);
+  }
+  // The stateless walk now hands X to `b`; the stored X -> a must not win.
+  EXPECT_FALSE(filter.Demux(flow_x, now += 1000).conn_hit);
+  EXPECT_EQ(filter.Stats(a)->accepts, 1u);
+  EXPECT_EQ(filter.Stats(b)->accepts, 301u);
+  // Restamped to `b`, X is served from state again.
+  EXPECT_TRUE(filter.Demux(flow_x, now += 1000).conn_hit);
+  EXPECT_EQ(filter.Stats(b)->accepts, 302u);
+  EXPECT_TRUE(filter.conndb()->IdentityHolds());
+}
+
 TEST(ConnDemuxTest, DeliverToLowerNeverEntersState) {
   PacketFilter filter;
   const PortId monitor = filter.OpenPort();
@@ -678,35 +706,6 @@ TEST(ExtensionTest, DropTaxonomyStaysExhaustiveUnderMixedTraffic) {
   EXPECT_GT(reason(pf::DropReason::kRateLimited), 0u);
   EXPECT_GT(reason(pf::DropReason::kRndBlock), 0u);
   EXPECT_GT(reason(pf::DropReason::kNoMatch), 0u);
-}
-
-// --- Verdict-cache residency gauges (satellite: pf.demux.cache.*) ----------
-
-TEST(CacheGaugeTest, ResidencyGaugesTrackCacheUse) {
-  pfobs::MetricsRegistry registry;
-  PacketFilter filter;
-  filter.SetStrategy(pf::Strategy::kIndexed);
-  filter.AttachMetrics(&registry);
-  const PortId p = filter.OpenPort();
-  ASSERT_TRUE(filter.SetFilter(p, SocketFilter(35, 10)).ok);
-
-  const pfobs::Gauge* size = registry.FindGauge("pf.demux.cache.size");
-  const pfobs::Gauge* capacity = registry.FindGauge("pf.demux.cache.capacity");
-  ASSERT_NE(size, nullptr);
-  ASSERT_NE(capacity, nullptr);
-
-  const auto frame = pftest::MakePupFrame(8, 35);
-  const auto r1 = filter.Demux(frame);
-  if (r1.cache_lookup) {  // index covers the filter set under kIndexed
-    EXPECT_EQ(size->value(), 1);
-    EXPECT_GT(capacity->value(), 0);
-    // A binding change wipes the cache; the gauge must drop with it.
-    ASSERT_TRUE(filter.SetFilter(p, SocketFilter(35, 11)).ok);
-    filter.Demux(frame);
-    filter.SetFlowCacheCapacity(0);
-    EXPECT_EQ(size->value(), 0);
-    EXPECT_EQ(capacity->value(), 0);
-  }
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // Demultiplexer tests: the fig. 4-1 loop, priority ordering, copy-all
 // delivery, queue overflow accounting, batch reads, timestamps, stats,
-// busy-reordering, and the strategy knobs.
+// busy-reordering, the strategy knobs, and the dispatch survivor walk.
 #include <gtest/gtest.h>
+
+#include <tuple>
 
 #include "src/pf/builder.h"
 #include "src/pf/demux.h"
+#include "src/util/rng.h"
 #include "tests/test_packets.h"
 
 namespace {
@@ -340,143 +343,6 @@ TEST(DemuxTest, AcceptsInvariantAcrossOverflowAndCopyAll) {
   EXPECT_EQ(filter.Stats(app)->accepts, 6u);
 }
 
-// --- Flow verdict cache (Strategy::kIndexed) ---
-
-TEST(DemuxFlowCacheTest, ServesRepeatedFlowFromCache) {
-  PacketFilter filter;
-  filter.SetStrategy(pf::Strategy::kIndexed);
-  const PortId p35 = filter.OpenPort();
-  const PortId p36 = filter.OpenPort();
-  ASSERT_TRUE(filter.SetFilter(p35, SocketFilter(35, 10)).ok);
-  ASSERT_TRUE(filter.SetFilter(p36, SocketFilter(36, 10)).ok);
-
-  for (int i = 0; i < 3; ++i) {
-    const auto r = filter.Demux(pftest::MakePupFrame(8, 35));
-    EXPECT_TRUE(r.accepted);
-    EXPECT_TRUE(r.cache_lookup);
-    EXPECT_EQ(r.cache_hit, i > 0);  // first packet takes the full walk
-  }
-  EXPECT_EQ(filter.QueueLength(p35), 3u);
-  EXPECT_EQ(filter.QueueLength(p36), 0u);
-  const pf::FlowCacheStats& stats = filter.flow_cache_stats();
-  EXPECT_EQ(stats.lookups, 3u);
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.insertions, 1u);
-  EXPECT_EQ(filter.flow_cache_size(), 1u);
-}
-
-TEST(DemuxFlowCacheTest, OtherStrategiesNeverConsultTheCache) {
-  PacketFilter filter;
-  filter.SetStrategy(pf::Strategy::kFast);
-  const PortId port = filter.OpenPort();
-  ASSERT_TRUE(filter.SetFilter(port, SocketFilter(35, 10)).ok);
-  filter.Demux(pftest::MakePupFrame(8, 35));
-  filter.Demux(pftest::MakePupFrame(8, 35));
-  EXPECT_EQ(filter.flow_cache_stats().lookups, 0u);
-  EXPECT_EQ(filter.flow_cache_size(), 0u);
-}
-
-TEST(DemuxFlowCacheTest, RebindInvalidatesAndRedirectsTheFlow) {
-  PacketFilter filter;
-  filter.SetStrategy(pf::Strategy::kIndexed);
-  const PortId a = filter.OpenPort();
-  const PortId b = filter.OpenPort();
-  ASSERT_TRUE(filter.SetFilter(a, SocketFilter(35, 10)).ok);
-  ASSERT_TRUE(filter.SetFilter(b, SocketFilter(35, 10)).ok);
-  // Equal priority: `a` opened first, claims, and the flow is cached on it.
-  filter.Demux(pftest::MakePupFrame(8, 35));
-  filter.Demux(pftest::MakePupFrame(8, 35));
-  EXPECT_EQ(filter.QueueLength(a), 2u);
-  EXPECT_GT(filter.flow_cache_stats().hits, 0u);
-
-  // Rebinding `a` to a different socket must invalidate: the next socket-35
-  // packet belongs to `b`, not the stale cache entry.
-  ASSERT_TRUE(filter.SetFilter(a, SocketFilter(99, 10)).ok);
-  filter.Demux(pftest::MakePupFrame(8, 35));
-  EXPECT_EQ(filter.QueueLength(a), 2u);  // no stale delivery
-  EXPECT_EQ(filter.QueueLength(b), 1u);
-  EXPECT_GT(filter.flow_cache_stats().invalidations, 0u);
-}
-
-TEST(DemuxFlowCacheTest, ClosePortInvalidates) {
-  PacketFilter filter;
-  filter.SetStrategy(pf::Strategy::kIndexed);
-  const PortId a = filter.OpenPort();
-  ASSERT_TRUE(filter.SetFilter(a, SocketFilter(35, 10)).ok);
-  filter.Demux(pftest::MakePupFrame(8, 35));
-  filter.Demux(pftest::MakePupFrame(8, 35));
-  EXPECT_GT(filter.flow_cache_stats().hits, 0u);
-
-  ASSERT_TRUE(filter.ClosePort(a));
-  const auto r = filter.Demux(pftest::MakePupFrame(8, 35));
-  EXPECT_FALSE(r.accepted);  // no ghost delivery to the closed port
-  EXPECT_EQ(filter.global_stats().packets_unclaimed, 1u);
-}
-
-TEST(DemuxFlowCacheTest, PriorityChangeInvalidates) {
-  PacketFilter filter;
-  filter.SetStrategy(pf::Strategy::kIndexed);
-  const PortId low = filter.OpenPort();
-  const PortId high = filter.OpenPort();
-  ASSERT_TRUE(filter.SetFilter(low, SocketFilter(35, 10)).ok);
-  ASSERT_TRUE(filter.SetFilter(high, SocketFilter(35, 5)).ok);
-  // `low` wins at priority 10 and the flow caches on it.
-  filter.Demux(pftest::MakePupFrame(8, 35));
-  filter.Demux(pftest::MakePupFrame(8, 35));
-  EXPECT_EQ(filter.QueueLength(low), 2u);
-
-  // Raising `high` above it must redirect the flow — a cached verdict that
-  // survived this would mis-deliver even though `low`'s filter still accepts.
-  ASSERT_TRUE(filter.SetFilter(high, SocketFilter(35, 200)).ok);
-  filter.Demux(pftest::MakePupFrame(8, 35));
-  EXPECT_EQ(filter.QueueLength(low), 2u);
-  EXPECT_EQ(filter.QueueLength(high), 1u);
-}
-
-TEST(DemuxFlowCacheTest, DeliverToLowerPortsBypassTheCache) {
-  PacketFilter filter;
-  filter.SetStrategy(pf::Strategy::kIndexed);
-  const PortId monitor = filter.OpenPort();
-  const PortId app = filter.OpenPort();
-  ASSERT_TRUE(filter.SetFilter(monitor, AcceptAll(255)).ok);
-  ASSERT_TRUE(filter.SetFilter(app, SocketFilter(35, 10)).ok);
-  filter.SetDeliverToLower(monitor, true);
-
-  for (int i = 0; i < 4; ++i) {
-    const auto r = filter.Demux(pftest::MakePupFrame(8, 35));
-    EXPECT_EQ(r.deliveries, 2u) << "copy-all must reach both ports, packet " << i;
-    EXPECT_FALSE(r.cache_hit);
-  }
-  // Monitor-only traffic: the sole acceptor delivers-to-lower, so the flow
-  // must not be recorded either.
-  filter.Demux(pftest::MakePupFrame(8, 99));
-  EXPECT_EQ(filter.flow_cache_stats().hits, 0u);
-  EXPECT_EQ(filter.flow_cache_stats().insertions, 0u);
-  EXPECT_EQ(filter.flow_cache_size(), 0u);
-  EXPECT_EQ(filter.QueueLength(monitor), 5u);
-  EXPECT_EQ(filter.QueueLength(app), 4u);
-}
-
-TEST(DemuxFlowCacheTest, CapacityBoundsAndDisable) {
-  PacketFilter filter;
-  filter.SetStrategy(pf::Strategy::kIndexed);
-  for (uint32_t socket = 1; socket <= 4; ++socket) {
-    const PortId port = filter.OpenPort();
-    ASSERT_TRUE(filter.SetFilter(port, SocketFilter(socket, 10)).ok);
-  }
-  filter.SetFlowCacheCapacity(2);
-  for (uint32_t socket = 1; socket <= 4; ++socket) {
-    filter.Demux(pftest::MakePupFrame(8, socket));
-  }
-  EXPECT_LE(filter.flow_cache_size(), 2u);
-
-  filter.SetFlowCacheCapacity(0);  // disabled entirely
-  const uint64_t lookups_before = filter.flow_cache_stats().lookups;
-  filter.Demux(pftest::MakePupFrame(8, 1));
-  EXPECT_EQ(filter.flow_cache_stats().lookups, lookups_before);
-  EXPECT_EQ(filter.flow_cache_size(), 0u);
-}
-
 TEST(DemuxTest, DeviceInfoRoundTrips) {
   pf::DeviceInfo info;
   info.datalink_type = 1;
@@ -675,6 +541,300 @@ TEST(FlightRecorderTest, DisabledByDefaultAndClearable) {
   EXPECT_EQ(filter.flight_recorder()->size(), 0u);
   filter.SetFlightRecorder(0);
   EXPECT_EQ(filter.flight_recorder(), nullptr);
+}
+
+// ------------------------------------------------ dispatch survivor walk
+//
+// Under kIndexed and kTree the demux walks only the dispatch's survivors
+// (the hash bucket / the tree's matches) plus the undispatched residue, in
+// rank order. These tests pin that it claims, copies and accounts exactly
+// like the full walk.
+
+constexpr pf::Strategy kDispatchStrategies[] = {pf::Strategy::kIndexed, pf::Strategy::kTree};
+
+// Accepts every packet but is no conjunction, so neither the tree nor the
+// index dispatches it: it always sits in the residue.
+Program AcceptAllResidue(uint8_t priority) { return FilterBuilder().PushOne().Build(priority); }
+
+// Opens one port per filter, in order, under `strategy`, and returns their
+// ids. Four bystander ports on sockets no test sends to follow, so the
+// survivor walk is shorter than the full one (otherwise the demux walks
+// every port).
+std::vector<PortId> OpenPorts(PacketFilter& filter, pf::Strategy strategy,
+                              const std::vector<Program>& filters) {
+  filter.SetStrategy(strategy);
+  std::vector<PortId> ids;
+  for (const Program& program : filters) {
+    ids.push_back(filter.OpenPort());
+    EXPECT_TRUE(filter.SetFilter(ids.back(), program).ok);
+  }
+  for (uint32_t socket = 1000; socket < 1004; ++socket) {
+    EXPECT_TRUE(filter.SetFilter(filter.OpenPort(), SocketFilter(socket, 10)).ok);
+  }
+  return ids;
+}
+
+bool Dispatched(const PacketFilter& filter, PortId port) {
+  return filter.engine().Dispatched(*filter.engine().FindBinding(port));
+}
+
+TEST(DemuxDispatchTest, RebindRedirectsTheFlow) {
+  for (const pf::Strategy strategy : kDispatchStrategies) {
+    SCOPED_TRACE(pf::ToString(strategy));
+    PacketFilter filter;
+    const auto ids = OpenPorts(filter, strategy, {SocketFilter(35, 10), SocketFilter(35, 10)});
+    // Equal priority, both survivors: the first opened claims.
+    filter.Demux(pftest::MakePupFrame(8, 35));
+    EXPECT_EQ(filter.QueueLength(ids[0]), 1u);
+    EXPECT_TRUE(Dispatched(filter, ids[0]) && Dispatched(filter, ids[1]));
+    // Rebound to another socket, it is no longer this flow's survivor.
+    ASSERT_TRUE(filter.SetFilter(ids[0], SocketFilter(99, 10)).ok);
+    filter.Demux(pftest::MakePupFrame(8, 35));
+    filter.Demux(pftest::MakePupFrame(8, 99));
+    EXPECT_EQ(filter.QueueLength(ids[0]), 2u);
+    EXPECT_EQ(filter.QueueLength(ids[1]), 1u);
+  }
+}
+
+TEST(DemuxDispatchTest, ClosePortStopsDelivery) {
+  for (const pf::Strategy strategy : kDispatchStrategies) {
+    SCOPED_TRACE(pf::ToString(strategy));
+    PacketFilter filter;
+    const auto ids = OpenPorts(filter, strategy, {SocketFilter(35, 10), SocketFilter(36, 10)});
+    EXPECT_TRUE(filter.Demux(pftest::MakePupFrame(8, 35)).accepted);
+    ASSERT_TRUE(filter.ClosePort(ids[0]));
+    EXPECT_FALSE(filter.Demux(pftest::MakePupFrame(8, 35)).accepted);  // no ghost delivery
+    EXPECT_EQ(filter.global_stats().drops_by_reason[static_cast<size_t>(pf::DropReason::kNoMatch)],
+              1u);
+    EXPECT_TRUE(filter.Demux(pftest::MakePupFrame(8, 36)).accepted);
+  }
+}
+
+TEST(DemuxDispatchTest, PriorityChangeReordersOneBucket) {
+  for (const pf::Strategy strategy : kDispatchStrategies) {
+    SCOPED_TRACE(pf::ToString(strategy));
+    PacketFilter filter;
+    // Both filters survive every socket-35 packet; rank alone decides.
+    const auto ids = OpenPorts(filter, strategy, {SocketFilter(35, 10), SocketFilter(35, 5)});
+    filter.Demux(pftest::MakePupFrame(8, 35));
+    ASSERT_TRUE(filter.SetFilter(ids[1], SocketFilter(35, 200)).ok);
+    filter.Demux(pftest::MakePupFrame(8, 35));
+    ASSERT_TRUE(filter.SetFilter(ids[0], SocketFilter(35, 255)).ok);
+    filter.Demux(pftest::MakePupFrame(8, 35));
+    EXPECT_EQ(filter.QueueLength(ids[0]), 2u);
+    EXPECT_EQ(filter.QueueLength(ids[1]), 1u);
+  }
+}
+
+TEST(DemuxDispatchTest, ResidueMonitorCopiesByRank) {
+  for (const pf::Strategy strategy : kDispatchStrategies) {
+    SCOPED_TRACE(pf::ToString(strategy));
+    PacketFilter filter;
+    const auto ids = OpenPorts(filter, strategy, {SocketFilter(35, 10), AcceptAllResidue(20)});
+    const PortId app = ids[0];
+    const PortId monitor = ids[1];
+    filter.SetDeliverToLower(monitor, true);
+    std::vector<PortId> order;
+    for (const PortId port : ids) {
+      filter.SetEnqueueCallback(port, [&order, port] { order.push_back(port); });
+    }
+    const auto deliveries = [&](uint32_t socket) {
+      order.clear();
+      filter.Demux(pftest::MakePupFrame(8, socket));
+      return order;
+    };
+    // Ranked ahead of the claimer, the monitor's copy comes first.
+    EXPECT_EQ(deliveries(35), (std::vector<PortId>{monitor, app}));
+    EXPECT_TRUE(Dispatched(filter, app));
+    EXPECT_FALSE(Dispatched(filter, monitor));
+    // Ranked behind an exclusive claimer, it gets none...
+    ASSERT_TRUE(filter.SetFilter(monitor, AcceptAllResidue(5)).ok);
+    EXPECT_EQ(deliveries(35), (std::vector<PortId>{app}));
+    // ...and behind a copy-all claimer, its copy comes second.
+    filter.SetDeliverToLower(app, true);
+    EXPECT_EQ(deliveries(35), (std::vector<PortId>{app, monitor}));
+    EXPECT_EQ(deliveries(99), (std::vector<PortId>{monitor}));
+  }
+}
+
+// A runtime strategy switch changes which filters the dispatch answers (an
+// accept-all is a tree conjunction but never indexed); the residue has to
+// follow, or a port would be skipped or walked twice.
+TEST(DemuxDispatchTest, StrategySwitchRecomputesTheResidue) {
+  PacketFilter filter;
+  const auto ids = OpenPorts(filter, pf::Strategy::kTree, {AcceptAll(20), SocketFilter(35, 10)});
+  filter.SetDeliverToLower(ids[0], true);
+  for (const pf::Strategy strategy : {pf::Strategy::kIndexed, pf::Strategy::kTree}) {
+    filter.SetStrategy(strategy);
+    EXPECT_EQ(filter.Demux(pftest::MakePupFrame(8, 35)).deliveries, 2u) << pf::ToString(strategy);
+  }
+}
+
+// Busy reordering moves the accept-all residue port ahead of a survivor of
+// the same priority; the claim has to follow the new rank as kChecked's
+// full walk does.
+TEST(DemuxDispatchTest, BusyReorderingMatchesChecked) {
+  const auto run = [](pf::Strategy strategy) {
+    PacketFilter filter;
+    filter.SetBusyReordering(true);
+    const auto ids = OpenPorts(filter, strategy, {SocketFilter(35, 10), AcceptAllResidue(10)});
+    std::vector<PortId> order;
+    for (const PortId port : ids) {
+      filter.SetQueueLimit(port, 1000);
+      filter.SetEnqueueCallback(port, [&order, port] { order.push_back(port); });
+    }
+    for (int i = 0; i < 600; ++i) {
+      filter.Demux(pftest::MakePupFrame(8, i % 4 == 0 ? 35 : 99));
+    }
+    return order;
+  };
+  const std::vector<PortId> expected = run(pf::Strategy::kChecked);
+  ASSERT_EQ(expected.size(), 600u);
+  // The reorder happened: the first socket-35 packet went to the socket
+  // port (1), the last one to the busier accept-all port (2).
+  EXPECT_EQ(expected[0], 1u);
+  EXPECT_EQ(expected[596], 2u);
+  for (const pf::Strategy strategy : kDispatchStrategies) {
+    EXPECT_EQ(run(strategy), expected) << pf::ToString(strategy);
+  }
+}
+
+// A frame too short for the index's words takes kIndexed's sequential
+// fallback, so statuses, drop reasons and the recorder's pc match kChecked.
+TEST(DemuxDispatchTest, ShortFramesReportShortPacketAsChecked) {
+  const auto run = [](pf::Strategy strategy) {
+    PacketFilter filter;
+    filter.SetFlightRecorder(4);
+    const auto ids = OpenPorts(filter, strategy,
+                               {SocketFilter(35, 10), SocketFilter(36, 10), SocketFilter(37, 10)});
+    filter.Demux(pftest::MakePupFrame(8, 36));
+    filter.Demux(TruncatedFrame());
+    filter.Demux(std::vector<uint8_t>{1, 2, 3});
+    std::vector<uint64_t> errors;
+    for (const PortId port : ids) {
+      errors.push_back(filter.Stats(port)->filter_errors);
+    }
+    return std::make_tuple(filter.global_stats().drops_by_reason, errors,
+                           filter.flight_recorder()->Tail().back().pc);
+  };
+  const auto checked = run(pf::Strategy::kChecked);
+  EXPECT_EQ(std::get<0>(checked)[static_cast<size_t>(pf::DropReason::kShortPacket)], 2u);
+  EXPECT_EQ(std::get<1>(checked), (std::vector<uint64_t>{2, 2, 2}));
+  EXPECT_EQ(run(pf::Strategy::kIndexed), checked);
+}
+
+// --- Seeded randomized differential ---------------------------------------
+//
+// Random filter sets mixing conjunctions (socket filters sharing buckets, an
+// ether-type test the index cannot key on) and non-conjunctions (ranges, a
+// divider, accept-alls), priorities from a small set so ties and busy
+// reorders happen, random copy-all, and reads and rebinds between packets.
+// The survivor walk must match the full walk (profiling forces it) bit for
+// bit, ExecTelemetry included, and kChecked on every delivery and counter.
+
+Program RandomFilter(pfutil::Rng& rng) {
+  static constexpr uint8_t kPriorities[] = {5, 10, 10, 20};
+  const uint8_t priority = kPriorities[rng.Below(4)];
+  const uint16_t socket = static_cast<uint16_t>(rng.Below(6));
+  switch (rng.Below(7)) {
+    case 0:
+    case 1:
+    case 2:
+      return SocketFilter(socket, priority);
+    case 3:
+      return FilterBuilder().WordEquals(pfproto::kWordEtherType, pfproto::kEtherTypePup)
+          .Build(priority);
+    case 4:
+      return FilterBuilder()
+          .MaskedWordInRange(pfproto::kWordDstSocketLow, 0xffff, socket, socket + 1)
+          .Build(priority);
+    case 5:
+      return DividingFilter(priority);
+    default:
+      return socket % 2 == 0 ? AcceptAll(priority) : AcceptAllResidue(priority);
+  }
+}
+
+struct DemuxObservation {
+  std::vector<std::vector<PortId>> deliveries;  // per packet, in delivery order
+  std::vector<pf::PortStats> ports;
+  pf::DropCounts drops{};
+  pf::ExecTelemetry exec;
+};
+
+// Plays seed `seed`'s scenario: bindings, then 600 operations — mostly
+// packets (with `runts`, one in eight truncated), plus reads, rebinds and
+// copy-all toggles. No Rng draw depends on the demux's answers, so every
+// strategy sees the same operations.
+DemuxObservation RunScenario(uint64_t seed, bool runts, pf::Strategy strategy, bool profiling) {
+  pfutil::Rng rng(seed);
+  PacketFilter filter;
+  filter.SetStrategy(strategy);
+  filter.SetProfiling(profiling);
+  filter.SetBusyReordering(seed % 2 == 0);
+  DemuxObservation obs;
+  std::vector<PortId> ids(4 + seed % 9);
+  for (size_t slot = 0; slot < ids.size(); ++slot) {
+    const PortId id = ids[slot] = filter.OpenPort();
+    filter.SetQueueLimit(id, 1 + slot % 4);
+    filter.SetEnqueueCallback(id, [&obs, id] { obs.deliveries.back().push_back(id); });
+    EXPECT_TRUE(filter.SetFilter(id, RandomFilter(rng)).ok);
+    filter.SetDeliverToLower(id, rng.Below(4) == 0);
+  }
+  for (int i = 0; i < 600; ++i) {
+    const PortId id = ids[rng.Below(ids.size())];
+    const uint64_t roll = rng.Below(100);
+    if (roll < 8) {
+      filter.Pop(id);
+    } else if (roll < 10) {
+      EXPECT_TRUE(filter.SetFilter(id, RandomFilter(rng)).ok);
+    } else if (roll < 12) {
+      filter.SetDeliverToLower(id, rng.Below(2) == 0);
+    } else {
+      // Socket 0 makes the divider fail; a non-Pup ether type misses most.
+      std::vector<uint8_t> packet =
+          pftest::MakePupFrame(8, static_cast<uint32_t>(rng.Below(8)), 2, 1, 8,
+                               rng.Below(8) != 0 ? pfproto::kEtherTypePup : 0x0800);
+      if (runts && rng.Below(8) == 0) {
+        packet.resize(rng.Below(packet.size()));
+      }
+      obs.deliveries.emplace_back();
+      filter.Demux(packet);
+    }
+  }
+  for (const PortId id : ids) {
+    obs.ports.push_back(*filter.Stats(id));
+  }
+  obs.drops = filter.global_stats().drops_by_reason;
+  obs.exec = filter.global_stats().exec;
+  return obs;
+}
+
+void ExpectSameOutcome(const DemuxObservation& got, const DemuxObservation& want) {
+  EXPECT_EQ(got.deliveries, want.deliveries);
+  EXPECT_EQ(got.drops, want.drops);
+  EXPECT_TRUE(got.ports == want.ports);  // PortStats, drops_by_reason included
+}
+
+TEST(DemuxDispatchTest, RandomizedSurvivorWalkMatchesFullWalkAndChecked) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    for (const bool runts : {true, false}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + (runts ? " with runts" : ""));
+      const DemuxObservation checked = RunScenario(seed, runts, pf::Strategy::kChecked, false);
+      for (const pf::Strategy strategy : kDispatchStrategies) {
+        SCOPED_TRACE(pf::ToString(strategy));
+        const DemuxObservation survivors = RunScenario(seed, runts, strategy, false);
+        const DemuxObservation full_walk = RunScenario(seed, runts, strategy, true);
+        ExpectSameOutcome(survivors, full_walk);
+        EXPECT_TRUE(survivors.exec == full_walk.exec);
+        // kTree answers conjunctions from the walk and so never reports a
+        // runt's kOutOfPacket; only kIndexed is held to kChecked on runts.
+        if (!runts || strategy == pf::Strategy::kIndexed) {
+          ExpectSameOutcome(survivors, checked);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 // under all five strategies.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "src/pf/builder.h"
 #include "src/pf/engine.h"
 #include "src/util/rng.h"
@@ -162,13 +165,13 @@ TEST(EngineIndexTest, BuildsOverSharedDiscriminatingPairs) {
   for (Engine::Key key = 1; key <= 8; ++key) {
     engine.Bind(key, *ValidatedProgram::Create(SocketConjunction(key)));
   }
-  // IndexSignature rebuilds the index lazily; any packet will do.
-  const auto packet = pftest::MakePupFrame(50, 5);
-  ASSERT_TRUE(engine.IndexSignature(packet).has_value());
+  engine.Refresh();  // the index is built lazily
   EXPECT_TRUE(engine.index_in_use());
   EXPECT_EQ(engine.index_width(), 3u);   // socket-low, socket-high, ether type
   EXPECT_EQ(engine.index_entries(), 8u); // every filter dispatches via the index
-  EXPECT_TRUE(engine.index_covers_all());
+  for (Engine::Key key = 1; key <= 8; ++key) {
+    EXPECT_TRUE(engine.Dispatched(*engine.FindBinding(key)));
+  }
 }
 
 TEST(EngineIndexTest, PrunesNonMatchingFiltersWithoutRunningThem) {
@@ -211,14 +214,17 @@ TEST(EngineIndexTest, NonConjunctionFiltersFallBackButConjunctionsStayIndexed) {
   engine.Bind(2, *ValidatedProgram::Create(SocketConjunction(35)));
   engine.Bind(3, *ValidatedProgram::Create(SocketConjunction(36)));
   const auto packet = pftest::MakePupFrame(50, 35);
-  ASSERT_TRUE(engine.IndexSignature(packet).has_value());
+  engine.Refresh();
   EXPECT_TRUE(engine.index_in_use());
   EXPECT_EQ(engine.index_entries(), 2u);
-  // A non-conjunction filter's verdict is not a function of the
-  // discriminating words, so signature-keyed caching would be unsound.
-  EXPECT_FALSE(engine.index_covers_all());
+  // A non-conjunction filter is never pruned, so hosts must always test it.
+  EXPECT_FALSE(engine.Dispatched(*engine.FindBinding(1)));
+  EXPECT_TRUE(engine.Dispatched(*engine.FindBinding(2)));
 
   Engine::MatchPass pass = engine.Match(packet);
+  ASSERT_TRUE(pass.survivors().has_value());
+  EXPECT_EQ(std::vector<Engine::Key>(pass.survivors()->begin(), pass.survivors()->end()),
+            std::vector<Engine::Key>{2});
   EXPECT_TRUE(pass.Test(1).accept);   // fig. 3-8 accepts this frame (ran sequentially)
   EXPECT_TRUE(pass.Test(2).accept);   // bucket hit, re-confirmed
   EXPECT_FALSE(pass.Test(3).accept);  // pruned
@@ -229,20 +235,30 @@ TEST(EngineIndexTest, SignatureIsStablePerFlowAndDistinguishesFlows) {
   Engine engine(Strategy::kIndexed);
   engine.Bind(1, *ValidatedProgram::Create(SocketConjunction(35)));
   engine.Bind(2, *ValidatedProgram::Create(SocketConjunction(36)));
-  const auto sig_a1 = engine.IndexSignature(pftest::MakePupFrame(50, 35));
-  const auto sig_a2 = engine.IndexSignature(pftest::MakePupFrame(51, 35));
-  const auto sig_b = engine.IndexSignature(pftest::MakePupFrame(50, 36));
-  ASSERT_TRUE(sig_a1.has_value());
-  ASSERT_TRUE(sig_a2.has_value());
-  ASSERT_TRUE(sig_b.has_value());
+  const auto survivors_of = [&engine](const std::vector<uint8_t>& packet) {
+    const Engine::MatchPass pass = engine.Match(packet);
+    const auto survivors = pass.survivors();
+    return survivors.has_value()
+               ? std::optional<std::vector<Engine::Key>>(
+                     std::vector<Engine::Key>(survivors->begin(), survivors->end()))
+               : std::nullopt;
+  };
   // The pup type is not a discriminating word; the socket is.
-  EXPECT_EQ(*sig_a1, *sig_a2);
-  EXPECT_NE(*sig_a1, *sig_b);
-  // Too short to load the discriminating words -> no signature.
-  EXPECT_FALSE(engine.IndexSignature(std::vector<uint8_t>{1, 2, 3, 4}).has_value());
-  // Other strategies never produce one.
+  EXPECT_EQ(survivors_of(pftest::MakePupFrame(50, 35)), std::vector<Engine::Key>{1});
+  EXPECT_EQ(survivors_of(pftest::MakePupFrame(51, 35)), std::vector<Engine::Key>{1});
+  EXPECT_EQ(survivors_of(pftest::MakePupFrame(50, 36)), std::vector<Engine::Key>{2});
+  // An empty bucket prunes every indexed filter.
+  EXPECT_EQ(survivors_of(pftest::MakePupFrame(50, 99)), std::vector<Engine::Key>{});
+  // Too short to load the discriminating words: no dispatch, test everything.
+  EXPECT_EQ(survivors_of(std::vector<uint8_t>{1, 2, 3, 4}), std::nullopt);
+  // Sequential strategies never dispatch.
   engine.set_strategy(Strategy::kFast);
-  EXPECT_FALSE(engine.IndexSignature(pftest::MakePupFrame(50, 35)).has_value());
+  EXPECT_EQ(survivors_of(pftest::MakePupFrame(50, 35)), std::nullopt);
+  EXPECT_FALSE(engine.Dispatched(*engine.FindBinding(1)));
+  // kTree's survivors are the walk's matches.
+  engine.set_strategy(Strategy::kTree);
+  EXPECT_EQ(survivors_of(pftest::MakePupFrame(50, 36)), std::vector<Engine::Key>{2});
+  EXPECT_TRUE(engine.Dispatched(*engine.FindBinding(1)));
 }
 
 TEST(EngineIndexTest, BindingHandleSkipsTheMapLookup) {

@@ -82,14 +82,12 @@ TEST(LedgerTest, EveryCategoryHasAName) {
   EXPECT_EQ(slugs.size(), static_cast<size_t>(Cost::kCount));
 }
 
-// The demux-index PR's categories, pinned by name so the metric names the
-// docs and dashboards use ("ledger.index_probe.*", "ledger.flow_cache.*")
-// cannot drift silently. (EveryCategoryHasAName already proves they exist.)
-TEST(LedgerTest, IndexAndFlowCacheCategoriesAreNamed) {
+// The hash-dispatch category, pinned by name so the metric names the docs
+// and dashboards use ("ledger.index_probe.*") cannot drift silently.
+// (EveryCategoryHasAName already proves it exists.)
+TEST(LedgerTest, IndexProbeCategoryIsNamed) {
   EXPECT_EQ(pfkern::ToString(Cost::kIndexProbe), "index probe");
   EXPECT_EQ(pfkern::ToSlug(Cost::kIndexProbe), "index_probe");
-  EXPECT_EQ(pfkern::ToString(Cost::kFlowCache), "flow-cache lookup");
-  EXPECT_EQ(pfkern::ToSlug(Cost::kFlowCache), "flow_cache");
 }
 
 TEST(LedgerTest, FormatListsChargedCategoriesOnly) {

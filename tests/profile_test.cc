@@ -115,7 +115,6 @@ TEST(ProfileTest, AllStrategiesProduceIdenticalHitCounts) {
   for (const Strategy strategy : pf::kAllStrategies) {
     PacketFilter filter;
     filter.SetStrategy(strategy);
-    filter.SetFlowCacheCapacity(0);
     filter.SetProfiling(true);
     std::vector<PortId> ports;
     for (int socket = 1; socket <= kSockets; ++socket) {
