@@ -138,8 +138,14 @@ struct ShortCircuitCase {
   bool equal;            // whether T1 == T2
   bool exits;            // returns immediately?
   bool verdict_if_exit;  // value returned on exit
-  uint16_t pushed;       // value pushed when continuing
+  // ctest names each case by its raw bytes (gtest_discover_tests prints the
+  // parameter), and this byte was once padding, so the names followed
+  // whatever the stack held. An explicit field pins them to the bytes they
+  // were first recorded with; the test itself never reads it.
+  uint8_t name_byte;
+  uint16_t pushed;  // value pushed when continuing
 };
+static_assert(sizeof(ShortCircuitCase) == 8, "case names are its 8 bytes");
 
 class ShortCircuitTest : public ::testing::TestWithParam<ShortCircuitCase> {};
 
@@ -169,17 +175,17 @@ INSTANTIATE_TEST_SUITE_P(
     Fig36, ShortCircuitTest,
     ::testing::Values(
         // COR: returns TRUE immediately if equal, else pushes FALSE.
-        ShortCircuitCase{BinaryOp::kCor, true, true, true, 0},
-        ShortCircuitCase{BinaryOp::kCor, false, false, false, 0},
+        ShortCircuitCase{BinaryOp::kCor, true, true, true, 0x00, 0},
+        ShortCircuitCase{BinaryOp::kCor, false, false, false, 0x56, 0},
         // CAND: returns FALSE immediately if unequal, else pushes TRUE.
-        ShortCircuitCase{BinaryOp::kCand, false, true, false, 0},
-        ShortCircuitCase{BinaryOp::kCand, true, false, false, 1},
+        ShortCircuitCase{BinaryOp::kCand, false, true, false, 0x56, 0},
+        ShortCircuitCase{BinaryOp::kCand, true, false, false, 0x7F, 1},
         // CNOR: returns FALSE immediately if equal, else pushes FALSE.
-        ShortCircuitCase{BinaryOp::kCnor, true, true, false, 0},
-        ShortCircuitCase{BinaryOp::kCnor, false, false, false, 0},
+        ShortCircuitCase{BinaryOp::kCnor, true, true, false, 0x7F, 0},
+        ShortCircuitCase{BinaryOp::kCnor, false, false, false, 0x56, 0},
         // CNAND: returns TRUE immediately if unequal, else pushes TRUE.
-        ShortCircuitCase{BinaryOp::kCnand, false, true, true, 0},
-        ShortCircuitCase{BinaryOp::kCnand, true, false, false, 1}));
+        ShortCircuitCase{BinaryOp::kCnand, false, true, true, 0x7F, 0},
+        ShortCircuitCase{BinaryOp::kCnand, true, false, false, 0x56, 1}));
 
 // --- Errors ---
 
