@@ -14,9 +14,17 @@ constexpr pfsim::Duration kPropagationDelay = pfsim::Microseconds(5);
 EthernetSegment::EthernetSegment(pfsim::Simulator* sim, LinkType type)
     : sim_(sim), props_(PropertiesFor(type)) {}
 
-void EthernetSegment::Attach(Station* station) { stations_.push_back(station); }
+void EthernetSegment::Attach(Station* station) {
+  auto next = std::make_shared<std::vector<Station*>>(*stations_);
+  next->push_back(station);
+  stations_ = std::move(next);
+}
 
-void EthernetSegment::Detach(Station* station) { std::erase(stations_, station); }
+void EthernetSegment::Detach(Station* station) {
+  auto next = std::make_shared<std::vector<Station*>>(*stations_);
+  std::erase(*next, station);
+  stations_ = std::move(next);
+}
 
 void EthernetSegment::SetLossRate(double p, uint64_t seed) {
   ImpairmentConfig config;
@@ -115,9 +123,10 @@ void EthernetSegment::Deliver(const Frame& frame) {
   if (!header.has_value()) {
     return;
   }
-  // Iterate over a snapshot: a delivery callback may attach/detach stations.
-  const std::vector<Station*> snapshot = stations_;
-  for (Station* s : snapshot) {
+  // Iterate over a snapshot: a delivery callback may attach/detach stations,
+  // which replaces stations_ and leaves this frame's receivers as they were.
+  const std::shared_ptr<const std::vector<Station*>> snapshot = stations_;
+  for (Station* s : *snapshot) {
     const bool addressed = header->dst == s->link_addr() || header->dst.IsBroadcast() ||
                            header->dst.IsMulticast();
     if (addressed || s->promiscuous()) {

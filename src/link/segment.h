@@ -98,7 +98,10 @@ class EthernetSegment {
 
   pfsim::Simulator* sim_;
   LinkProperties props_;
-  std::vector<Station*> stations_;
+  // Copy-on-write: Attach/Detach install a new list, so Deliver snapshots
+  // the receivers by sharing the current one instead of copying it.
+  std::shared_ptr<const std::vector<Station*>> stations_ =
+      std::make_shared<const std::vector<Station*>>();
   pfsim::TimePoint medium_free_at_{};
   uint64_t next_flow_id_ = 1;
   std::unique_ptr<Impairer> impairer_;

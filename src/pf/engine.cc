@@ -39,6 +39,15 @@ uint64_t MixIndexHash(uint64_t hash, uint16_t value) {
   return hash;
 }
 
+// The shortest packet that holds every word `tests` references.
+size_t MinPacketBytes(const std::vector<FieldTest>& tests) {
+  size_t bytes = 0;
+  for (const FieldTest& test : tests) {
+    bytes = std::max<size_t>(bytes, 2 * (static_cast<size_t>(test.word) + 1));
+  }
+  return bytes;
+}
+
 }  // namespace
 
 std::vector<PredecodedInsn> Predecode(const ValidatedProgram& program) {
@@ -239,8 +248,8 @@ void Engine::Clear() {
   index_pairs_.clear();
   index_buckets_.clear();
   index_entries_ = 0;
-  index_min_packet_bytes_ = 0;
   index_dirty_ = false;
+  dispatch_min_packet_bytes_ = 0;
   compiled_prefix_groups_ = 0;
   prefix_cache_.clear();
   compiled_dirty_ = false;
@@ -304,8 +313,8 @@ void Engine::RebuildIndex() {
   index_pairs_.clear();
   index_buckets_.clear();
   index_entries_ = 0;
-  index_min_packet_bytes_ = 0;
   index_dirty_ = false;
+  dispatch_min_packet_bytes_ = 0;
   for (auto& [key, binding] : filters_) {
     binding.indexed = false;
   }
@@ -376,10 +385,7 @@ void Engine::RebuildIndex() {
     binding.indexed = true;
     ++index_entries_;
     index_buckets_[bucket].push_back(key);
-    for (const FieldTest& test : tests) {
-      index_min_packet_bytes_ =
-          std::max<size_t>(index_min_packet_bytes_, 2 * (static_cast<size_t>(test.word) + 1));
-    }
+    dispatch_min_packet_bytes_ = std::max(dispatch_min_packet_bytes_, MinPacketBytes(tests));
   }
 }
 
@@ -456,10 +462,13 @@ void Engine::RebuildCompiledPrefixes() {
 
 void Engine::RebuildTree() {
   std::vector<std::pair<uint32_t, std::vector<FieldTest>>> compiled;
+  dispatch_min_packet_bytes_ = 0;
   if (strategy_ == Strategy::kTree) {
     for (const auto& [key, binding] : filters_) {
       if (binding.conjunction.has_value()) {
         compiled.emplace_back(key, *binding.conjunction);
+        dispatch_min_packet_bytes_ =
+            std::max(dispatch_min_packet_bytes_, MinPacketBytes(*binding.conjunction));
       }
     }
   }
@@ -486,7 +495,11 @@ Engine::MatchPass Engine::Match(std::span<const uint8_t> packet) {
     ++compiled_pass_gen_;
   }
   MatchPass pass(this, packet);
-  if (tree_in_use()) {
+  // On a shorter packet a dispatched filter could report kOutOfPacket, which
+  // neither the tree walk nor the index prune can; the pass then runs every
+  // filter sequentially so statuses stay exact.
+  const bool dispatch = packet.size() >= dispatch_min_packet_bytes_;
+  if (tree_in_use() && dispatch) {
     match_buffer_.clear();
     tree_.Match(packet, &match_buffer_, &pass.telemetry_.tree_probes);
     pass.tree_matches_ = &match_buffer_;
@@ -494,26 +507,20 @@ Engine::MatchPass Engine::Match(std::span<const uint8_t> packet) {
       profiled_tree_probes_ += pass.telemetry_.tree_probes;
     }
   }
-  if (index_in_use()) {
+  if (index_in_use() && dispatch) {
     pass.index_active_ = true;
-    if (packet.size() < index_min_packet_bytes_) {
-      // A pruned filter could have reported kOutOfPacket on this packet;
-      // run everything sequentially so statuses stay exact.
-      pass.index_seq_fallback_ = true;
-    } else {
-      uint64_t signature = kFnvOffset;
-      for (const FieldTestKey& pair : index_pairs_) {
-        uint16_t word = 0;
-        // Cannot fail: every indexed word fits in index_min_packet_bytes_.
-        pfutil::LoadPacketWord(packet, pair.word, &word);
-        signature = MixIndexHash(signature, static_cast<uint16_t>(word & pair.mask));
-        ++pass.telemetry_.index_probes;
-      }
-      const auto it = index_buckets_.find(signature);
-      pass.index_candidates_ = it == index_buckets_.end() ? nullptr : &it->second;
-      if (profiling_) {
-        profiled_index_probes_ += pass.telemetry_.index_probes;
-      }
+    uint64_t signature = kFnvOffset;
+    for (const FieldTestKey& pair : index_pairs_) {
+      uint16_t word = 0;
+      // Cannot fail: every indexed word fits in dispatch_min_packet_bytes_.
+      pfutil::LoadPacketWord(packet, pair.word, &word);
+      signature = MixIndexHash(signature, static_cast<uint16_t>(word & pair.mask));
+      ++pass.telemetry_.index_probes;
+    }
+    const auto it = index_buckets_.find(signature);
+    pass.index_candidates_ = it == index_buckets_.end() ? nullptr : &it->second;
+    if (profiling_) {
+      profiled_index_probes_ += pass.telemetry_.index_probes;
     }
   }
   return pass;
@@ -523,7 +530,7 @@ std::optional<std::span<const Engine::Key>> Engine::MatchPass::survivors() const
   if (tree_matches_ != nullptr) {
     return std::span<const Key>(*tree_matches_);
   }
-  if (index_active_ && !index_seq_fallback_) {
+  if (index_active_) {
     if (index_candidates_ == nullptr) {
       return std::span<const Key>();  // empty bucket: every indexed filter pruned
     }
@@ -550,7 +557,7 @@ Verdict Engine::MatchPass::Test(Key key, const Binding* binding) {
     }
     return verdict;
   }
-  if (index_active_ && binding->indexed && !index_seq_fallback_) {
+  if (index_active_ && binding->indexed) {
     const bool candidate =
         index_candidates_ != nullptr &&
         std::find(index_candidates_->begin(), index_candidates_->end(), key) !=
@@ -578,7 +585,7 @@ Verdict Engine::MatchPass::Test(Key key, const Binding* binding) {
       ++telemetry_.decode_cache_hits;
       break;
     case Strategy::kFast:
-    case Strategy::kTree:  // non-conjunction fallback within a tree pass
+    case Strategy::kTree:  // non-conjunctions, or every filter on a short packet
       exec = InterpretFast(binding->program, packet_);
       break;
     case Strategy::kCompiled: {

@@ -13,7 +13,8 @@
 //   * kTree       — the active conjunction-shaped filters are compiled into
 //                   one decision tree; one walk yields every verdict (§7's
 //                   "decision table"). Non-conjunction filters fall back to
-//                   kFast within the same pass.
+//                   kFast within the same pass, as does every filter on a
+//                   packet too short for some conjunction's words.
 //   * kPredecoded — at Bind() time each program is pre-decoded into a flat
 //                   array of {op, fetch kind, operand} structs, so the hot
 //                   loop does no per-instruction word splitting, literal
@@ -274,8 +275,8 @@ class Engine {
     // or kIndexed's hash bucket — in no particular order. Test() rejects
     // every other Dispatched() filter with no telemetry and no status, so a
     // caller may skip them. nullopt when the pass dispatched nothing (a
-    // sequential strategy, an empty tree or index, or kIndexed's
-    // short-packet fallback): then every filter has to be tested.
+    // sequential strategy, an empty tree or index, or a packet too short
+    // to dispatch): then every filter has to be tested.
     std::optional<std::span<const Key>> survivors() const;
 
    private:
@@ -288,11 +289,10 @@ class Engine {
     ExecTelemetry telemetry_;
     const std::vector<Key>* tree_matches_ = nullptr;  // kTree: the walk's output
     // kIndexed: candidates in the packet's hash bucket (nullptr = empty
-    // bucket, prune everything indexed), unless the whole pass fell back
-    // to sequential execution (short packet).
+    // bucket, prune everything indexed). Meaningful only when index_active_,
+    // which is false when the whole pass runs sequentially (short packet).
     const std::vector<Key>* index_candidates_ = nullptr;
     bool index_active_ = false;
-    bool index_seq_fallback_ = false;
   };
 
   MatchPass Match(std::span<const uint8_t> packet);
@@ -348,10 +348,12 @@ class Engine {
   std::vector<FieldTestKey> index_pairs_;  // the discriminating words, sorted
   std::unordered_map<uint64_t, std::vector<Key>> index_buckets_;
   size_t index_entries_ = 0;
-  // Every indexed filter's word references fit in a packet of at least this
-  // many bytes; shorter packets take the sequential fallback so pruning
-  // can never hide a kOutOfPacket status a sequential run would report.
-  size_t index_min_packet_bytes_ = 0;
+
+  // Every dispatched filter's word references (the tree's conjunctions, or
+  // the indexed filters) fit in a packet of at least this many bytes;
+  // shorter packets take the sequential fallback so dispatch can never hide
+  // a kOutOfPacket status a sequential run would report.
+  size_t dispatch_min_packet_bytes_ = 0;
 
   // --- Compiled prefix hoisting (kCompiled) ---
   bool compiled_dirty_ = false;

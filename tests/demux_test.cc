@@ -827,11 +827,7 @@ TEST(DemuxDispatchTest, RandomizedSurvivorWalkMatchesFullWalkAndChecked) {
         const DemuxObservation full_walk = RunScenario(seed, runts, strategy, true);
         ExpectSameOutcome(survivors, full_walk);
         EXPECT_TRUE(survivors.exec == full_walk.exec);
-        // kTree answers conjunctions from the walk and so never reports a
-        // runt's kOutOfPacket; only kIndexed is held to kChecked on runts.
-        if (!runts || strategy == pf::Strategy::kIndexed) {
-          ExpectSameOutcome(survivors, checked);
-        }
+        ExpectSameOutcome(survivors, checked);
       }
     }
   }

@@ -442,4 +442,49 @@ TEST(SegmentTest, DetachStopsDelivery) {
   EXPECT_TRUE(b.frames.empty());
 }
 
+// A station that rewires the segment from inside its delivery callback.
+class RewiringStation : public TestStation {
+ public:
+  RewiringStation(MacAddr addr, EthernetSegment* segment, Station* leaving, Station* joining)
+      : TestStation(addr), segment_(segment), leaving_(leaving), joining_(joining) {}
+  void OnFrameDelivered(const Frame& frame, pfsim::TimePoint at) override {
+    TestStation::OnFrameDelivered(frame, at);
+    if (frames.size() == 1) {
+      segment_->Detach(leaving_);
+      segment_->Attach(joining_);
+    }
+  }
+
+ private:
+  EthernetSegment* segment_;
+  Station* leaving_;
+  Station* joining_;
+};
+
+TEST(SegmentTest, RewiringDuringDeliveryAffectsOnlyLaterFrames) {
+  pfsim::Simulator sim;
+  EthernetSegment segment(&sim, LinkType::kExperimental3Mb);
+  TestStation a(MacAddr::Experimental(1));
+  TestStation leaving(MacAddr::Experimental(3));
+  TestStation joining(MacAddr::Experimental(4));
+  RewiringStation hook(MacAddr::Experimental(2), &segment, &leaving, &joining);
+  segment.Attach(&a);
+  segment.Attach(&hook);
+  segment.Attach(&leaving);
+
+  // The frame being delivered keeps the receivers it started with.
+  segment.Transmit(&a, MakeFrame(0, 1));
+  sim.Run();
+  EXPECT_EQ(hook.frames.size(), 1u);
+  EXPECT_EQ(leaving.frames.size(), 1u);
+  EXPECT_TRUE(joining.frames.empty());
+
+  // The next frame sees the rewired segment.
+  segment.Transmit(&a, MakeFrame(0, 1));
+  sim.Run();
+  EXPECT_EQ(hook.frames.size(), 2u);
+  EXPECT_EQ(leaving.frames.size(), 1u);
+  EXPECT_EQ(joining.frames.size(), 1u);
+}
+
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "src/util/byte_order.h"
 #include "src/util/checksum.h"
@@ -88,6 +91,63 @@ TEST(ChecksumTest, PupChecksumOrderSensitive) {
   const std::vector<uint8_t> ab = {0x01, 0x00, 0x02, 0x00};
   const std::vector<uint8_t> ba = {0x02, 0x00, 0x01, 0x00};
   EXPECT_NE(pfutil::PupChecksum(ab), pfutil::PupChecksum(ba));
+}
+
+// The IEEE 802.3 CRC-32 computed one bit at a time, the reference that
+// Crc32 must reproduce exactly. Feeds `byte` into the running
+// (pre-inversion) register.
+uint32_t Crc32RefStep(uint32_t reg, uint8_t byte) {
+  reg ^= byte;
+  for (int bit = 0; bit < 8; ++bit) {
+    reg = (reg & 1) != 0 ? (reg >> 1) ^ 0xedb88320u : reg >> 1;
+  }
+  return reg;
+}
+
+TEST(ChecksumTest, Crc32CheckValue) {
+  // The standard CRC-32 check value over the ASCII digits "123456789".
+  const std::string digits = "123456789";
+  const std::vector<uint8_t> data(digits.begin(), digits.end());
+  EXPECT_EQ(pfutil::Crc32(data), 0xcbf43926u);
+  EXPECT_EQ(pfutil::Crc32({}), 0u);
+}
+
+TEST(ChecksumTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..2048 from every start offset 0..15 cover the 16-byte body,
+  // every tail length and every alignment of the word loads.
+  constexpr size_t kMaxLen = 2048;
+  constexpr size_t kOffsets = 16;
+  pfutil::Rng rng(0xfc5);
+  std::vector<uint8_t> buffer(kMaxLen + kOffsets);
+  for (uint8_t& byte : buffer) {
+    byte = static_cast<uint8_t>(rng.Next());
+  }
+  for (size_t offset = 0; offset < kOffsets; ++offset) {
+    uint32_t reg = 0xffffffffu;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      if (len > 0) {
+        reg = Crc32RefStep(reg, buffer[offset + len - 1]);
+      }
+      const std::span<const uint8_t> slice(buffer.data() + offset, len);
+      ASSERT_EQ(pfutil::Crc32(slice), reg ^ 0xffffffffu)
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(ChecksumTest, Crc32DetectsEverySingleBitFlipInAFullFrame) {
+  std::vector<uint8_t> frame(1514);
+  for (size_t i = 0; i < frame.size(); ++i) {
+    frame[i] = static_cast<uint8_t>(i * 31 + 7);
+  }
+  const uint32_t good = pfutil::Crc32(frame);
+  for (size_t i = 0; i < frame.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      frame[i] ^= static_cast<uint8_t>(1u << bit);
+      ASSERT_NE(pfutil::Crc32(frame), good) << "byte " << i << " bit " << bit;
+      frame[i] ^= static_cast<uint8_t>(1u << bit);
+    }
+  }
 }
 
 TEST(HexdumpTest, FormatsCanonically) {
